@@ -9,7 +9,7 @@ import (
 )
 
 // startEcho runs a TCP echo server and returns its address.
-func startEcho(t *testing.T) string {
+func startEcho(t testing.TB) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -80,11 +80,17 @@ func (c *CountingConn) Write(p []byte) (int, error) {
 // wide-area path on a loopback interface. The proxy also counts the
 // bytes it forwards, which is how the bandwidth experiment (Figure 8)
 // measures traffic on the shared path.
+//
+// Each connection direction has a reader and a writer goroutine; one
+// scheduler goroutine per proxy times every delayed delivery (see
+// scheduler), so the proxy sleeps through a delay instead of spinning
+// through it.
 type Proxy struct {
 	target  string
 	delay   atomic.Int64 // one-way delay in nanoseconds
 	counter *Counter
 	faults  atomic.Pointer[injector]
+	sched   *scheduler
 
 	ln     net.Listener
 	mu     sync.Mutex
@@ -102,6 +108,7 @@ func NewProxy(target string, oneWayDelay time.Duration) *Proxy {
 		counter: &Counter{},
 		conns:   make(map[net.Conn]struct{}),
 		done:    make(chan struct{}),
+		sched:   newScheduler(),
 	}
 	p.delay.Store(int64(oneWayDelay))
 	return p
@@ -141,7 +148,9 @@ func (p *Proxy) FaultStats() FaultStats {
 }
 
 // Start begins listening on addr (use "127.0.0.1:0" for an ephemeral
-// port) and serving connections in the background.
+// port) and serving connections in the background. The goroutines it
+// starts, the delivery scheduler among them, inherit the caller's pprof
+// labels.
 func (p *Proxy) Start(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -155,8 +164,12 @@ func (p *Proxy) Start(addr string) error {
 	}
 	p.ln = ln
 	p.mu.Unlock()
-	p.wg.Add(1)
+	p.wg.Add(2)
 	go p.acceptLoop(ln)
+	go func() {
+		defer p.wg.Done()
+		p.sched.run(p.done)
+	}()
 	return nil
 }
 
@@ -272,36 +285,29 @@ func (p *Proxy) serve(client net.Conn) {
 // chunk is one delayed segment in flight.
 type chunk struct {
 	data []byte
-	due  time.Time
-}
-
-// sleepUntil sleeps to a deadline accurately: timer sleep for the bulk,
-// then cooperative yielding for the tail. Plain time.Sleep can overshoot
-// by around a millisecond on coarse-timer kernels, which at
-// millisecond-scale injected delays badly inflates the measured latency
-// sensitivities; the experiments need the injected delay to be accurate,
-// so the last stretch busy-yields instead of sleeping. The yield loop
-// calls runtime.Gosched, so other goroutines (the servers under test,
-// which are idle while a delay elapses anyway) keep running.
-func sleepUntil(due time.Time) {
-	const spinWindow = 2 * time.Millisecond
-	if wait := time.Until(due) - spinWindow; wait > 0 {
-		time.Sleep(wait)
-	}
-	for time.Now().Before(due) {
-		runtime.Gosched()
-	}
+	due  int64 // delivery deadline on the scheduler's clock
 }
 
 // pump forwards src to dst, modeling one-way propagation delay: every
 // chunk is delivered delay after it was read, but chunks overlap in
 // flight (pipelining), so a large message spanning several TCP segments
 // pays the delay once, not once per segment — the behavior of a real
-// wide-area path, and of the paper's delay proxy. cf, when non-nil,
-// injects the fault plan on the delivery side: stalls and blackhole
+// wide-area path, and of the paper's delay proxy.
+//
+// The reader stamps each chunk with its deadline, never earlier than the
+// previous chunk's: the path delivers in order, so after SetDelay lowers
+// the delay, later chunks queue behind earlier ones rather than count as
+// late. The writer delivers chunks in order: one already due (always, at
+// zero delay) is written at once, without touching the scheduler;
+// otherwise the writer parks until the scheduler wakes it lead before
+// the deadline and spins only that last stretch. The
+// latency.delivery_error histogram records how late each chunk was
+// released.
+//
+// fh injects the fault plan on the delivery side: stalls and blackhole
 // windows hold chunks back, truncation delivers a partial chunk, and a
 // doomed byte budget resets the connection pair mid-stream. The fault
-// state is re-resolved per chunk via fh, so plans installed after the
+// state is re-resolved per chunk, so plans installed after the
 // connection was accepted still apply to it.
 func (p *Proxy) pump(dst io.Writer, src io.Reader, account func(int), fh *faultHolder) {
 	inflight := make(chan chunk, 256)
@@ -312,8 +318,22 @@ func (p *Proxy) pump(dst io.Writer, src io.Reader, account func(int), fh *faultH
 			for range inflight {
 			}
 		}
+		wake := make(chan struct{}, 1)
 		for c := range inflight {
-			sleepUntil(c.due)
+			now := p.sched.now()
+			if now < c.due {
+				p.sched.add(wakeup{due: c.due, wake: wake})
+				select {
+				case <-wake:
+				case <-p.done:
+					drain()
+					return
+				}
+				for now = p.sched.now(); now < c.due; now = p.sched.now() {
+					runtime.Gosched()
+				}
+			}
+			obsDeliveryError.Observe(time.Duration(now - c.due))
 			data := c.data
 			kill := false
 			cf := fh.current()
@@ -338,12 +358,14 @@ func (p *Proxy) pump(dst io.Writer, src io.Reader, account func(int), fh *faultH
 		}
 	}()
 	buf := make([]byte, 32*1024)
+	var last int64
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {
 			data := make([]byte, n)
 			copy(data, buf[:n])
-			inflight <- chunk{data: data, due: time.Now().Add(p.Delay())}
+			last = max(p.sched.now()+p.delay.Load(), last)
+			inflight <- chunk{data: data, due: last}
 		}
 		if err != nil {
 			close(inflight)

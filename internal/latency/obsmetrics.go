@@ -13,4 +13,5 @@ var (
 	obsFaultTruncations      = obs.Default.Counter("latency.fault_truncations")
 	obsFaultBlackholedConns  = obs.Default.Counter("latency.fault_blackholed_conns")
 	obsFaultBlackholedChunks = obs.Default.Counter("latency.fault_blackholed_chunks")
+	obsDeliveryError         = obs.Default.Histogram("latency.delivery_error")
 )

@@ -28,7 +28,7 @@ type Client struct {
 	stats         *collector
 
 	mu         sync.Mutex
-	dialCond   *sync.Cond // signaled when a shared dial finishes
+	dialCond   *sync.Cond // signaled when a shared dial finishes or a shared conn is removed
 	shared     []*conn
 	idlePinned []*conn
 	conns      map[*conn]struct{}
@@ -307,6 +307,8 @@ func (c *Client) removeConn(cn *conn) {
 	for i, s := range c.shared {
 		if s == cn {
 			c.shared = append(c.shared[:i], c.shared[i+1:]...)
+			// A caller may be waiting in sharedConn for this slot.
+			c.dialCond.Broadcast()
 			break
 		}
 	}
@@ -412,8 +414,8 @@ func (cn *conn) isUsed() bool {
 	return cn.used
 }
 
-// teardown closes the connection, fails every pending call, and fires
-// the push sink's close hook. Idempotent.
+// teardown closes the connection and fails every pending call; the
+// read loop then exits and fires the push sink's close hook. Idempotent.
 func (cn *conn) teardown(err error) {
 	cn.mu.Lock()
 	if cn.closed {
@@ -427,16 +429,11 @@ func (cn *conn) teardown(err error) {
 		calls = append(calls, cl)
 	}
 	cn.pending = make(map[uint64]*call)
-	sink := cn.sink
-	cn.sink = nil
 	for _, cl := range calls {
 		cl.complete(err)
 	}
 	cn.mu.Unlock()
 	_ = cn.nc.Close()
-	if sink != nil && sink.onClose != nil {
-		sink.onClose()
-	}
 	cn.c.removeConn(cn)
 }
 
@@ -568,7 +565,10 @@ func (cn *conn) expireOverdue() {
 	cn.mu.Unlock()
 }
 
+// readLoop reads frames until the connection fails or is torn down;
+// every exit follows a teardown.
 func (cn *conn) readLoop() {
+	defer cn.closeSink()
 	onTimeout := func() bool {
 		cn.expireOverdue()
 		cn.updateReadDeadline()
@@ -599,6 +599,20 @@ func (cn *conn) readLoop() {
 			return
 		}
 		cn.updateReadDeadline()
+	}
+}
+
+// closeSink fires the push sink's close hook as the read loop exits.
+// Pushes are delivered on the read loop too, so the hook (which
+// typically closes the channel deliver sends on) never overlaps a
+// delivery, whichever goroutine tore the connection down.
+func (cn *conn) closeSink() {
+	cn.mu.Lock()
+	sink := cn.sink
+	cn.sink = nil
+	cn.mu.Unlock()
+	if sink != nil && sink.onClose != nil {
+		sink.onClose()
 	}
 }
 
@@ -680,9 +694,10 @@ func (s *Stream) Call(ctx context.Context, req, resp any) error {
 
 // OnPush registers the stream's push sink: factory allocates a body,
 // deliver consumes each push (it must not block), and onClose fires
-// exactly once when the connection dies. Register the sink BEFORE the
-// call that switches the server into push mode, or an early push races
-// the registration and kills the connection.
+// exactly once when the connection dies, after the last deliver has
+// returned (shortly after Hangup or Close, not within it). Register the
+// sink BEFORE the call that switches the server into push mode, or an
+// early push races the registration and kills the connection.
 func (s *Stream) OnPush(factory func() any, deliver func(any), onClose func()) {
 	s.mu.Lock()
 	s.pushed = true

@@ -69,6 +69,17 @@ func (h *testHandler) Handle(ctx context.Context, sess *Session, id uint64, req 
 			}
 		}()
 		return &testResp{Payload: "subscribed"}
+	case "flood":
+		h.pushers.Add(1)
+		go func() {
+			defer h.pushers.Done()
+			for i := 1; ctx.Err() == nil; i++ {
+				if sess.Push(id, &testResp{Payload: "tick", N: i}) != nil {
+					return
+				}
+			}
+		}()
+		return &testResp{Payload: "flooding"}
 	default:
 		return &testResp{Payload: "unknown op " + r.Op}
 	}
@@ -114,7 +125,12 @@ func TestCallRoundTrip(t *testing.T) {
 	if s.Ops["echo"].MeanDur() <= 0 {
 		t.Fatal("latency not recorded")
 	}
+	// The server counts a round trip after writing its response, so the
+	// client can see the fifth response before the server has counted it.
 	ss := srv.Stats()
+	for deadline := time.Now().Add(time.Second); ss.RoundTrips < 5 && time.Now().Before(deadline); ss = srv.Stats() {
+		time.Sleep(time.Millisecond)
+	}
 	if ss.RoundTrips != 5 {
 		t.Fatalf("server RTs = %d, want 5", ss.RoundTrips)
 	}
@@ -397,6 +413,52 @@ func TestServerCloseLeaksNoGoroutines(t *testing.T) {
 				before, runtime.NumGoroutine(), buf[:n])
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestPushHangupDuringDelivery: hanging up a stream while the server
+// pushes in a loop must not run the sink's onClose (which closes the
+// channel deliver sends on, as dbwire's Subscribe does) while a deliver
+// is in progress. The test hangs up while a deliver lingers before its
+// send, so an onClose that does not wait for it closes the channel
+// first and the send panics.
+func TestPushHangupDuringDelivery(t *testing.T) {
+	srv := startTestServer(t)
+	c := NewClient(srv.Addr())
+	defer c.Close()
+	ctx := context.Background()
+	for round := 0; round < 10; round++ {
+		st, err := c.OpenStream(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch := make(chan int, 1)
+		armed, delivering := make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		st.OnPush(
+			func() any { return new(testResp) },
+			func(v any) {
+				select {
+				case <-armed:
+					once.Do(func() { close(delivering) })
+					time.Sleep(2 * time.Millisecond)
+				default:
+				}
+				select {
+				case ch <- v.(*testResp).N:
+				default:
+				}
+			},
+			func() { close(ch) },
+		)
+		if err := st.Call(ctx, &testReq{Op: "flood"}, new(testResp)); err != nil {
+			t.Fatal(err)
+		}
+		close(armed)
+		<-delivering
+		st.Hangup()
+		for range ch { // onClose must still close it
+		}
 	}
 }
 
