@@ -2,7 +2,10 @@ package appserver
 
 import (
 	"context"
+	"fmt"
+	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"edgeejb/internal/component"
@@ -12,11 +15,15 @@ import (
 )
 
 // newAppServer starts a full application server over a seeded store.
-func newAppServer(t *testing.T) (*Server, *Client) {
+func newAppServer(t testing.TB) (*Server, *Client) { return startAppServer(t, 5) }
+
+// startAppServer starts an application server over a store seeded with
+// the given number of users, and a client connected to it.
+func startAppServer(t testing.TB, users int) (*Server, *Client) {
 	t.Helper()
 	store := sqlstore.New()
 	t.Cleanup(store.Close)
-	trade.Populate(store, trade.PopulateConfig{Users: 5, Symbols: 10, HoldingsPerUser: 2, OpenBalance: 10_000})
+	trade.Populate(store, trade.PopulateConfig{Users: users, Symbols: 10, HoldingsPerUser: 2, OpenBalance: 10_000})
 	reg, err := trade.NewEntityRegistry()
 	if err != nil {
 		t.Fatal(err)
@@ -221,4 +228,62 @@ func TestMarketSummaryAction(t *testing.T) {
 	if err != nil || !resp.OK {
 		t.Fatalf("bad n not tolerated: %v %+v", err, resp)
 	}
+}
+
+// TestPooledPagesConcurrentRequests drives 16 concurrent callers, each
+// for its own user, over one client connection. The server renders
+// every page into a pooled buffer and returns it to the pool once the
+// response frame is written; a buffer reused any earlier would carry
+// another user's page (or race under -race). Each page must name its
+// caller's user and nobody else.
+func TestPooledPagesConcurrentRequests(t *testing.T) {
+	const callers, rounds = 16, 40
+	_, client := startAppServer(t, callers)
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(user string) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				action := []trade.Action{trade.ActionHome, trade.ActionAccount, trade.ActionPortfolio}[r%3]
+				resp, err := client.DoStep(ctx, trade.Step{Action: action, UserID: user})
+				if err != nil {
+					errs <- fmt.Errorf("%s %s: %v", user, action, err)
+					return
+				}
+				if !resp.OK {
+					errs <- fmt.Errorf("%s %s: %s", user, action, resp.Err)
+					return
+				}
+				if err := pageUsers(resp.Body, user); err != nil {
+					errs <- fmt.Errorf("%s %s: %v", user, action, err)
+					return
+				}
+			}
+		}(trade.UserID(i))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if n := client.WireStats().Dials; n != 1 {
+		t.Errorf("client dialed %d connections, want 1", n)
+	}
+}
+
+// pageUsers checks that every user ID on a page is want.
+func pageUsers(body []byte, want string) error {
+	ids := regexp.MustCompile(`uid-\d+`).FindAll(body, -1)
+	if len(ids) == 0 {
+		return fmt.Errorf("page names no user: %q", body)
+	}
+	for _, id := range ids {
+		if string(id) != want {
+			return fmt.Errorf("page names %s", id)
+		}
+	}
+	return nil
 }

@@ -44,7 +44,7 @@ func WithDialer(d DialFunc) ClientOption { return clientDialerOption(d) }
 
 // NewClient creates a client for the application server at addr.
 func NewClient(addr string, opts ...ClientOption) *Client {
-	cfg := &clientConfig{wopts: []wire.Option{wire.WithMaxConns(1)}}
+	cfg := &clientConfig{wopts: []wire.Option{wire.WithMaxConns(1), wire.WithBodyCodec(pageCodec)}}
 	for _, o := range opts {
 		o.apply(cfg)
 	}

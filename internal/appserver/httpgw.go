@@ -18,7 +18,7 @@ import (
 // Action names are the Table 1 names (login, logout, register, home,
 // account, accountUpdate, portfolio, quote, buy, sell) plus the
 // marketSummary extension. Responses are the same rendered pages the
-// gob protocol returns; application errors map to 422 and unknown
+// client protocol returns; application errors map to 422 and unknown
 // actions to 404.
 type HTTPGateway struct {
 	srv *Server
@@ -75,10 +75,13 @@ func (g *HTTPGateway) handleTrade(w http.ResponseWriter, r *http.Request) {
 		Action:    action,
 		Params:    params,
 	})
+	defer resp.Release()
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	if !resp.OK {
 		w.WriteHeader(http.StatusUnprocessableEntity)
-		_, _ = w.Write(renderPage("Error", "<p>"+htmlEscape(resp.Err)+"</p>"))
+		p := renderError(resp.Err)
+		_, _ = w.Write(p.b)
+		p.release()
 		return
 	}
 	_, _ = w.Write(resp.Body)

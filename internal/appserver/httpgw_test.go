@@ -13,7 +13,7 @@ import (
 
 func newGateway(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv, _ := newAppServer(t) // the gob listener is unused here
+	srv, _ := newAppServer(t) // the TCP listener is unused here
 	gw := httptest.NewServer(NewHTTPGateway(srv))
 	t.Cleanup(gw.Close)
 	return gw

@@ -22,6 +22,23 @@ type Response struct {
 	Err string
 	// Body is the rendered HTML page.
 	Body []byte
+
+	// page, on the server side, is the pooled buffer Body lives in.
+	page *page
+}
+
+// pageResponse wraps a rendered page as a successful response that owns
+// the page's buffer until Release.
+func pageResponse(p *page) *Response { return &Response{OK: true, Body: p.b, page: p} }
+
+// Release returns a server-rendered page's buffer to the pool and
+// clears Body. The transport calls it once the response frame is
+// written; on a response without a pooled page it does nothing.
+func (r *Response) Release() {
+	if r.page != nil {
+		r.page.release()
+		r.page, r.Body = nil, nil
+	}
 }
 
 // Error materializes a failed response as an error.

@@ -35,7 +35,8 @@ type Server struct {
 // NewServer wraps a trade service.
 func NewServer(svc *trade.Service) *Server {
 	s := &Server{svc: svc}
-	s.inner = wire.NewServer(func() wire.ConnHandler { return appHandler{s: s} })
+	s.inner = wire.NewServer(func() wire.ConnHandler { return appHandler{s: s} },
+		wire.WithServerBodyCodec(pageCodec))
 	return s
 }
 
@@ -98,7 +99,7 @@ func (s *Server) dispatch(ctx context.Context, req *Request) *Response {
 		if err != nil {
 			return fail(err)
 		}
-		return &Response{OK: true, Body: renderMarketSummary(r)}
+		return pageResponse(renderMarketSummary(r))
 	}
 
 	action, err := trade.ParseAction(req.Action)
@@ -111,53 +112,53 @@ func (s *Server) dispatch(ctx context.Context, req *Request) *Response {
 		if err != nil {
 			return fail(err)
 		}
-		return &Response{OK: true, Body: renderLogin(r)}
+		return pageResponse(renderLogin(r))
 
 	case trade.ActionLogout:
 		if err := s.svc.Logout(ctx, p("user")); err != nil {
 			return fail(err)
 		}
-		return &Response{OK: true, Body: renderLogout(p("user"))}
+		return pageResponse(renderLogout(p("user")))
 
 	case trade.ActionRegister:
 		if err := s.svc.Register(ctx, p("newUser"), p("fullName"), p("email"), 1_000_000); err != nil {
 			return fail(err)
 		}
-		return &Response{OK: true, Body: renderRegister(p("newUser"))}
+		return pageResponse(renderRegister(p("newUser")))
 
 	case trade.ActionHome:
 		r, err := s.svc.Home(ctx, p("user"))
 		if err != nil {
 			return fail(err)
 		}
-		return &Response{OK: true, Body: renderHome(r)}
+		return pageResponse(renderHome(r))
 
 	case trade.ActionAccount:
 		r, err := s.svc.Account(ctx, p("user"))
 		if err != nil {
 			return fail(err)
 		}
-		return &Response{OK: true, Body: renderAccount(r)}
+		return pageResponse(renderAccount(r))
 
 	case trade.ActionAccountUpdate:
 		if err := s.svc.AccountUpdate(ctx, p("user"), p("address"), p("email")); err != nil {
 			return fail(err)
 		}
-		return &Response{OK: true, Body: renderAccountUpdate(p("user"))}
+		return pageResponse(renderAccountUpdate(p("user")))
 
 	case trade.ActionPortfolio:
 		r, err := s.svc.Portfolio(ctx, p("user"))
 		if err != nil {
 			return fail(err)
 		}
-		return &Response{OK: true, Body: renderPortfolio(r)}
+		return pageResponse(renderPortfolio(r))
 
 	case trade.ActionQuote:
 		r, err := s.svc.GetQuote(ctx, p("symbol"))
 		if err != nil {
 			return fail(err)
 		}
-		return &Response{OK: true, Body: renderQuote(r)}
+		return pageResponse(renderQuote(r))
 
 	case trade.ActionBuy:
 		qty, err := strconv.ParseFloat(p("quantity"), 64)
@@ -168,14 +169,14 @@ func (s *Server) dispatch(ctx context.Context, req *Request) *Response {
 		if err != nil {
 			return fail(err)
 		}
-		return &Response{OK: true, Body: renderBuy(r)}
+		return pageResponse(renderBuy(r))
 
 	case trade.ActionSell:
 		r, err := s.svc.Sell(ctx, p("user"))
 		if err != nil {
 			return fail(err)
 		}
-		return &Response{OK: true, Body: renderSell(r)}
+		return pageResponse(renderSell(r))
 
 	default:
 		return fail(errors.New("appserver: unhandled action " + req.Action))

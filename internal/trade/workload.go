@@ -3,7 +3,9 @@ package trade
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
+	"sync/atomic"
 )
 
 // Action enumerates the Trade actions of Table 1.
@@ -205,9 +207,15 @@ type Generator struct {
 	syms  int
 	// mean number of actions per session including login/logout.
 	actionsPerSession int
-	nextUser          int
 	nextSession       int
 }
+
+// newUserSeq numbers the users that register steps create. It is
+// process-wide, not per Generator: two generators (or two runs against
+// one topology) must never register the same ID, or the second
+// registration fails with "row already exists". Only the IDs depend on
+// it; the rest of a generator's step stream stays seed-deterministic.
+var newUserSeq atomic.Uint64
 
 // GeneratorConfig sizes the generator.
 type GeneratorConfig struct {
@@ -310,8 +318,7 @@ func (g *Generator) step(user string) Step {
 	case pick < g.mix.Home+g.mix.Account+g.mix.AccountUpdate+g.mix.Portfolio+g.mix.Quote+g.mix.Buy+g.mix.Sell:
 		return Step{Action: ActionSell, UserID: user}
 	default:
-		g.nextUser++
-		newUser := fmt.Sprintf("new-%d", g.nextUser)
+		newUser := "new-" + strconv.FormatUint(newUserSeq.Add(1), 10)
 		return Step{
 			Action:    ActionRegister,
 			UserID:    user,

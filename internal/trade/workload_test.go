@@ -1,10 +1,13 @@
 package trade
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"edgeejb/internal/component"
 	"edgeejb/internal/sqlstore"
+	"edgeejb/internal/storeapi"
 )
 
 func TestActionStringRoundTrip(t *testing.T) {
@@ -84,19 +87,36 @@ func TestSessionLengthMean(t *testing.T) {
 	}
 }
 
+// TestGeneratorDeterminism checks that one seed yields one step stream.
+// The exception is a register step's new user, which is numbered
+// process-wide so that two generators never register the same ID: the
+// two streams must agree on everything else and differ there.
 func TestGeneratorDeterminism(t *testing.T) {
 	g1 := NewGenerator(GeneratorConfig{Seed: 42, Users: 10, Symbols: 10})
 	g2 := NewGenerator(GeneratorConfig{Seed: 42, Users: 10, Symbols: 10})
+	registers := 0
 	for i := 0; i < 20; i++ {
 		s1, s2 := g1.Session(), g2.Session()
 		if len(s1) != len(s2) {
 			t.Fatalf("session %d lengths differ", i)
 		}
 		for j := range s1 {
-			if s1[j] != s2[j] {
+			a, b := s1[j], s2[j]
+			if a.Action == ActionRegister {
+				registers++
+				if a.NewUserID == b.NewUserID {
+					t.Fatalf("session %d step %d: both generators register %s", i, j, a.NewUserID)
+				}
+				a.NewUserID, a.FullName, a.Email = "", "", ""
+				b.NewUserID, b.FullName, b.Email = "", "", ""
+			}
+			if a != b {
 				t.Fatalf("session %d step %d differ: %+v vs %+v", i, j, s1[j], s2[j])
 			}
 		}
+	}
+	if registers == 0 {
+		t.Fatal("no register step in 20 sessions; the new-user check did not run")
 	}
 }
 
@@ -137,6 +157,34 @@ func TestRegisterStepsUseFreshUserIDs(t *testing.T) {
 		}
 	}
 	if len(seen) == 0 {
+		t.Fatal("register-only mix generated no registers")
+	}
+}
+
+// TestTwoGeneratorsRegisterDistinctUsers runs the register steps of two
+// generators with the same seed against one service, as two load
+// clients (or two runs on one topology) do. Every registration must
+// succeed: new-user IDs are unique across generators, not just within
+// one.
+func TestTwoGeneratorsRegisterDistinctUsers(t *testing.T) {
+	svc, _ := newService(t, func(c storeapi.Conn) component.ResourceManager { return component.NewJDBCManager(c) })
+	cfg := GeneratorConfig{Seed: 11, Users: 5, Symbols: 10, Mix: Mix{Register: 1}}
+	ctx := context.Background()
+	registered := 0
+	for _, g := range []*Generator{NewGenerator(cfg), NewGenerator(cfg)} {
+		for i := 0; i < 3; i++ {
+			for _, s := range g.Session() {
+				if s.Action != ActionRegister {
+					continue
+				}
+				if err := svc.Register(ctx, s.NewUserID, s.FullName, s.Email, 1000); err != nil {
+					t.Fatalf("register %s: %v", s.NewUserID, err)
+				}
+				registered++
+			}
+		}
+	}
+	if registered == 0 {
 		t.Fatal("register-only mix generated no registers")
 	}
 }

@@ -25,6 +25,7 @@ type Client struct {
 	maxFrame      int
 	retry         RetryPolicy
 	preflight     func(ctx context.Context, pc PreflightConn) error
+	bodyCodec     BodyCodec
 	stats         *collector
 
 	mu         sync.Mutex
@@ -86,6 +87,12 @@ type PreflightConn interface {
 func WithPreflight(f func(ctx context.Context, pc PreflightConn) error) Option {
 	return func(c *Client) { c.preflight = f }
 }
+
+// WithBodyCodec installs c as the body codec of every connection the
+// client dials, in both directions, from the first frame on: there is
+// no handshake, so the server must be built with the same codec (see
+// WithServerBodyCodec).
+func WithBodyCodec(c BodyCodec) Option { return func(cl *Client) { cl.bodyCodec = c } }
 
 // WithMaxFrame overrides the maximum accepted frame size.
 func WithMaxFrame(n int) Option {
@@ -262,6 +269,10 @@ func (c *Client) dialConn(ctx context.Context) (*conn, error) {
 		fw:      newFrameWriter(nc),
 		fr:      newFrameReader(nc, c.maxFrame),
 		pending: make(map[uint64]*call),
+	}
+	if c.bodyCodec != nil {
+		cn.fw.codec = c.bodyCodec
+		cn.fr.setCodec(c.bodyCodec)
 	}
 	c.mu.Lock()
 	if c.closed {

@@ -21,15 +21,21 @@ const DefaultMaxFrame = 16 << 20
 // definitions are sent once per connection rather than once per
 // message. That matters for the experiments: per-message typedef
 // overhead would inflate exactly the small-message protocols whose byte
-// counts Figure 8 compares. The body defaults to the same gob stream;
-// once a BodyCodec is negotiated, the body is that codec's raw bytes —
-// gob messages are self-delimiting, so after the header decode the
-// remainder of the frame is exactly the body.
+// counts Figure 8 compares. A body is either the next message of the
+// same gob stream or, under a BodyCodec, that codec's raw bytes — gob
+// messages are self-delimiting, so after the header decode the
+// remainder of the frame is exactly the body. The application-server
+// protocol installs its binary codec on both ends before the first
+// frame (WithBodyCodec, WithServerBodyCodec), so its bodies are never
+// gob; the database protocol starts in gob and switches once its
+// handshake settles.
 
 // BodyCodec encodes and decodes message bodies inside the frame format.
 // The frame header stays gob regardless; a codec only replaces the body
-// encoding, which is where the volume is. Both peers must switch at an
-// agreed frame boundary (the protocol layer negotiates this).
+// encoding, which is where the volume is. Both peers must use it from
+// the same frame on: either from the first frame, installed on both
+// ends at construction, or from a boundary the protocol layer
+// negotiates.
 type BodyCodec interface {
 	// Name identifies the codec during negotiation and in metrics.
 	Name() string

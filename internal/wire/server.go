@@ -107,6 +107,21 @@ func WithServerMaxFrame(n int) ServerOption {
 	}
 }
 
+// WithServerBodyCodec installs c as the body codec of every accepted
+// connection, in both directions, from the first frame on — the
+// counterpart of the client's WithBodyCodec. Protocols that negotiate
+// their codec (SetReadCodec / SetWriteCodecAfter) leave it unset.
+func WithServerBodyCodec(c BodyCodec) ServerOption {
+	return func(s *Server) { s.bodyCodec = c }
+}
+
+// Releaser is implemented by response bodies that hold pooled memory.
+// The server calls Release once the response frame has been written,
+// or its write has failed; the body must not be touched afterwards.
+type Releaser interface {
+	Release()
+}
+
 // Server accepts framed connections and dispatches their requests to
 // per-connection handlers. Close drains gracefully: stop accepting,
 // let in-flight requests finish (bounded by the drain timeout), then
@@ -115,6 +130,7 @@ type Server struct {
 	newHandler   func() ConnHandler
 	drainTimeout time.Duration
 	maxFrame     int
+	bodyCodec    BodyCodec
 	stats        *collector
 	baseCtx      context.Context
 	cancel       context.CancelFunc
@@ -199,6 +215,10 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			ctx:    ctx,
 			cancel: cancel,
 			tasks:  make(chan dispatchTask),
+		}
+		if s.bodyCodec != nil {
+			sc.fw.codec = s.bodyCodec
+			sc.fr.setCodec(s.bodyCodec)
 		}
 		s.conns[sc] = struct{}{}
 		s.wg.Add(1)
@@ -385,6 +405,9 @@ func (sc *serverConn) dispatch(ctx context.Context, id uint64, label string, bod
 		sc.codecAfter = nil
 	}
 	sc.wmu.Unlock()
+	if r, ok := resp.(Releaser); ok {
+		r.Release()
+	}
 	if err != nil {
 		if n > 0 {
 			sc.srv.stats.sent(label, n)
